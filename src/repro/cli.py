@@ -1828,7 +1828,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from .core.profiler import measure_probe_overhead
 
-    variants = list(range(max(1, min(5, getattr(args, "variants", 1)))))
+    for slug in getattr(args, "slugs", None) or ():
+        try:
+            get_benchmark(slug)
+        except KeyError as exc:
+            print(f"sdvbs {args.command}: {exc.args[0]}", file=sys.stderr)
+            return 2
+    variants =list(range(max(1, min(5, getattr(args, "variants", 1)))))
     measurement = {
         "warmup": max(0, getattr(args, "warmup", 0)),
         "repeats": max(1, getattr(args, "repeats", 1)),

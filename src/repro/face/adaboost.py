@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,41 +34,79 @@ class Stump:
         return (values < self.threshold).astype(np.float64)
 
 
+#: Feature columns scored together in :func:`best_stump`; bounds its
+#: ``(BLOCK, n)`` temporaries so the peak memory of training stays small.
+BLOCK = 64
+
+
+def column_order(values: np.ndarray) -> np.ndarray:
+    """Stable ascending argsort of every feature column, as int32.
+
+    Row ``j`` of the ``(m, n)`` result orders column ``j`` of ``values``.
+    The order depends only on the values, not on the boosting weights, so
+    :func:`train_stage` computes it once and reuses it every round.
+    """
+    n, m = values.shape
+    order = np.empty((m, n), dtype=np.int32)
+    for start in range(0, m, BLOCK):
+        order[start:start + BLOCK] = np.argsort(
+            values[:, start:start + BLOCK].T, axis=1, kind="stable"
+        )
+    return order
+
+
 def best_stump(values: np.ndarray, labels: np.ndarray,
-               weights: np.ndarray) -> Tuple[int, float, int, float]:
+               weights: np.ndarray,
+               order: Optional[np.ndarray] = None,
+               ) -> Tuple[int, float, int, float]:
     """Exhaustive best stump over all feature columns.
 
     Uses the sorted-prefix trick: for each feature, scanning examples in
     value order yields every distinct threshold's weighted error in O(n)
-    after the sort.  Returns ``(feature, threshold, polarity, error)``.
+    after the sort.  ``order`` is :func:`column_order` of ``values``
+    (computed here when not given).  Columns are scored a block at a
+    time; ties go to the lowest feature index, then polarity +1 before
+    -1, then the first threshold position.  Returns
+    ``(feature, threshold, polarity, error)``.
     """
     n, m = values.shape
-    total_pos = float(weights[labels == 1].sum())
-    total_neg = float(weights[labels == 0].sum())
+    if order is None:
+        order = column_order(values)
+    is_pos = labels == 1
+    is_neg = labels == 0
+    total_pos = float(weights[is_pos].sum())
+    total_neg = float(weights[is_neg].sum())
+    # Masking before the gather equals gathering before the mask.
+    pos_weights = weights * is_pos
+    neg_weights = weights * is_neg
     best = (0, 0.0, 1, float("inf"))
-    for j in range(m):
-        order = np.argsort(values[:, j], kind="stable")
-        v = values[order, j]
-        w = weights[order]
-        lab = labels[order]
-        pos_below = np.cumsum(w * (lab == 1))
-        neg_below = np.cumsum(w * (lab == 0))
+    for start in range(0, m, BLOCK):
+        block = order[start:start + BLOCK]
+        pos_below = np.cumsum(np.take(pos_weights, block), axis=1)
+        neg_below = np.cumsum(np.take(neg_weights, block), axis=1)
         # Threshold between v[i] and v[i+1]: predict >= thr as positive.
         # error(+1) = pos_below + (total_neg - neg_below)
         # error(-1) = neg_below + (total_pos - pos_below)
         err_pos = pos_below + (total_neg - neg_below)
         err_neg = neg_below + (total_pos - pos_below)
-        i_pos = int(np.argmin(err_pos))
-        i_neg = int(np.argmin(err_neg))
-        for i, polarity, err in (
-            (i_pos, 1, float(err_pos[i_pos])),
-            (i_neg, -1, float(err_neg[i_neg])),
-        ):
-            if err < best[3]:
-                threshold = (
-                    (v[i] + v[i + 1]) / 2.0 if i + 1 < n else v[i] + 1e-9
-                )
-                best = (j, float(threshold), polarity, err)
+        rows = np.arange(block.shape[0])
+        i_pos = err_pos.argmin(axis=1)
+        i_neg = err_neg.argmin(axis=1)
+        # Interleave (+1, -1) per column so argmin keeps the tie order.
+        candidates = np.stack(
+            [err_pos[rows, i_pos], err_neg[rows, i_neg]], axis=1
+        ).ravel()
+        k = int(np.argmin(candidates))
+        err = float(candidates[k])
+        if err < best[3]:
+            local, side = divmod(k, 2)
+            i = int((i_neg if side else i_pos)[local])
+            j = start + local
+            v = values[block[local], j]
+            threshold = (
+                (v[i] + v[i + 1]) / 2.0 if i + 1 < n else v[i] + 1e-9
+            )
+            best = (j, float(threshold), -1 if side else 1, err)
     return best
 
 
@@ -110,10 +148,13 @@ def train_stage(
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need both positive and negative examples")
     weights = np.where(labels == 1, 0.5 / n_pos, 0.5 / n_neg)
+    order = column_order(values)
     stumps: List[Stump] = []
     for _ in range(n_stumps):
         weights = weights / weights.sum()
-        j, threshold, polarity, error = best_stump(values, labels, weights)
+        j, threshold, polarity, error = best_stump(
+            values, labels, weights, order
+        )
         error = min(max(error, 1e-10), 1.0 - 1e-10)
         beta = error / (1.0 - error)
         alpha = math.log(1.0 / beta)

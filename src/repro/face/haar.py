@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..imgproc.integral import integral_image, rect_sum
+from ..imgproc.integral import rect_sum
 
 WINDOW = 16
 
@@ -131,7 +131,16 @@ def evaluate_features_on_patches(
     patch responses.
 
     Each patch is normalized by its standard deviation (Viola-Jones
-    lighting correction) before feature evaluation.
+    lighting correction) before feature evaluation.  The work is batched
+    across patches: one normalization, one stack of integral images, and
+    one vector operation per (feature, rect).  Every per-patch value is
+    computed with the same operations in the same order as
+    :meth:`HaarFeature.evaluate` on that patch's integral image, so the
+    matrix is byte-identical to the per-patch loop.  The integral images
+    are plain prefix sums in the order of the ``fast``
+    :func:`~repro.imgproc.integral.integral_image`, not dispatched
+    through that registered kernel: training is set-up, not a measured
+    kernel, and its result does not depend on the active backend.
     """
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 3 or patches.shape[1:] != (WINDOW, WINDOW):
@@ -139,12 +148,23 @@ def evaluate_features_on_patches(
             f"expected (n, {WINDOW}, {WINDOW}) patches, got {patches.shape}"
         )
     n = patches.shape[0]
+    # Each row reduction runs over one patch's 256 contiguous values, the
+    # same pairwise summation as ``patch.mean()``/``patch.std()`` alone.
+    flat = patches.reshape(n, WINDOW * WINDOW)
+    std = flat.std(axis=1)
+    scale = np.where(std > 1e-9, std, 1.0)
+    normalized = (flat - flat.mean(axis=1, keepdims=True)) / scale[:, None]
+    sums = normalized.reshape(n, WINDOW, WINDOW).cumsum(axis=1).cumsum(axis=2)
+    # Integral images laid out (row, col, patch) so that each corner lookup
+    # below is one contiguous vector over all patches.
+    ii = np.zeros((WINDOW + 1, WINDOW + 1, n))
+    ii[1:, 1:] = sums.transpose(1, 2, 0)
     out = np.empty((n, len(features)))
-    for i in range(n):
-        patch = patches[i]
-        std = patch.std()
-        normalized = (patch - patch.mean()) / (std if std > 1e-9 else 1.0)
-        ii = integral_image(normalized)
-        for j, feature in enumerate(features):
-            out[i, j] = feature.evaluate(ii)
+    for j, feature in enumerate(features):
+        total = np.zeros(n)
+        for r0, c0, r1, c1, weight in feature.rects:
+            total = total + weight * (
+                ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]
+            )
+        out[:, j] = total
     return out

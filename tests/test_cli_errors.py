@@ -1,0 +1,45 @@
+"""User errors on the CLI: exit status 2 and one line on stderr.
+
+Each subcommand that takes benchmark slugs must reject an unknown slug
+the same way, in a fresh process, without a Python traceback.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+UNKNOWN_SLUG_COMMANDS = [
+    ["run", "bogus"],
+    ["run", "disparity", "bogus"],
+    ["figure3", "bogus"],
+    ["stream", "bogus"],
+    ["flame", "bogus"],
+    ["report", "bogus"],
+    ["trace", "bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", UNKNOWN_SLUG_COMMANDS,
+                         ids=[" ".join(a) for a in UNKNOWN_SLUG_COMMANDS])
+def test_unknown_benchmark_exits_2_with_one_line(argv, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 2, completed.stderr
+    assert "Traceback" not in completed.stderr
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1, completed.stderr
+    assert lines[0].startswith(f"sdvbs {argv[0]}: unknown benchmark 'bogus'")
+    assert completed.stdout == ""
