@@ -1880,12 +1880,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "compare":
         from .core.compare import render_comparison
-        from .core.export import result_from_json
 
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = result_from_json(handle.read())
-        with open(args.candidate, "r", encoding="utf-8") as handle:
-            candidate = result_from_json(handle.read())
+        baseline = _load_result(args.baseline, "compare")
+        if baseline is None:
+            return 2
+        candidate = _load_result(args.candidate, "compare")
+        if candidate is None:
+            return 2
         print(render_comparison(baseline, candidate,
                                 baseline_label=args.baseline,
                                 candidate_label=args.candidate))

@@ -398,21 +398,67 @@ class RobotWorld:
     max_range: float
 
 
-def _raycast(grid: np.ndarray, x: float, y: float, theta: float,
-             max_range: float, step: float = 0.25) -> float:
-    """Distance (in cells) from (x, y) along theta to the first occupied cell."""
+def _jump_table(grid: np.ndarray, step: float) -> np.ndarray:
+    """Samples a ray may advance from each cell without missing a hit.
+
+    0 marks an occupied cell.  A free cell with ``r`` free chessboard
+    rings around it (the map's outside counts as occupied) lies more than
+    ``r`` from every occupied or outside point, so from any point in it
+    the next ``floor(r / step) - 1`` samples, at most ``r - step`` away,
+    are free: the ray may evaluate sample ``floor(r / step)`` next.
+    """
+    free = grid == 0
+    rings = np.zeros(grid.shape, dtype=np.int64)
+    ring = np.pad(free, 1)  # the border of False is the outside
+    while True:
+        # 3x3 erosion: a cell keeps one more ring if its 8 neighbours
+        # kept the last one.
+        eroded = ring[:, :-2] & ring[:, 1:-1] & ring[:, 2:]
+        eroded = eroded[:-2] & eroded[1:-1] & eroded[2:]
+        if not eroded.any():
+            break
+        rings += eroded
+        ring[1:-1, 1:-1] = eroded
+    jumps = np.maximum(1, (rings / step).astype(np.int64))
+    return np.where(free, jumps, 0)
+
+
+def raycast_batch(
+    grid: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    angles: np.ndarray,
+    max_range: float,
+    step: float = 0.25,
+) -> np.ndarray:
+    """Vectorized ray casting: distance to the first occupied cell.
+
+    All inputs are flat arrays of equal length.  Sample ``k`` of a ray
+    lies ``k * step`` along it; the ray stops at the first sample that
+    is in an occupied cell or off the map, and a ray that outlives
+    ``int(max_range / step) + 1`` samples reads ``max_range``.  A ray
+    skips the samples that the clearance around its cell proves free,
+    so each pass over the live rays crosses empty floor in long jumps.
+    """
     rows, cols = grid.shape
-    dist = 0.0
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    while dist < max_range:
-        px = x + dist * cos_t
-        py = y + dist * sin_t
-        if not (0 <= px < cols and 0 <= py < rows):
-            return dist
-        if grid[int(py), int(px)]:
-            return dist
-        dist += step
-    return max_range
+    n_steps = int(max_range / step) + 1
+    jump = _jump_table(grid, step)
+    cos_t = np.cos(angles)
+    sin_t = np.sin(angles)
+    k = np.zeros(x.size, dtype=np.int64)
+    live = np.arange(x.size)
+    while live.size:
+        dist = k[live] * step
+        px = x[live] + dist * cos_t[live]
+        py = y[live] + dist * sin_t[live]
+        inside = (px >= 0) & (px < cols) & (py >= 0) & (py < rows)
+        advance = np.zeros(live.size, dtype=np.int64)
+        advance[inside] = jump[
+            py[inside].astype(np.int64), px[inside].astype(np.int64)
+        ]
+        k[live] += advance
+        live = live[(advance > 0) & (k[live] < n_steps)]
+    return np.minimum(np.minimum(k, n_steps) * step, max_range)
 
 
 def robot_world(size: InputSize, variant: int = 0, n_steps: int = 24,
@@ -453,8 +499,8 @@ def robot_world(size: InputSize, variant: int = 0, n_steps: int = 24,
     start = (x, y, theta)
     controls: List[Tuple[float, float]] = []
     poses: List[Tuple[float, float, float]] = []
-    measurements: List[np.ndarray] = []
-    for _ in range(n_steps):
+    noise = np.empty((n_steps, n_beams))
+    for t in range(n_steps):
         turn = float(rng.uniform(-0.5, 0.5))
         dist = float(rng.uniform(0.5, 1.5))
         # Keep the robot in free space: re-draw the step if it would collide,
@@ -475,12 +521,16 @@ def robot_world(size: InputSize, variant: int = 0, n_steps: int = 24,
         theta, x, y = nt, nx, ny
         controls.append((turn, dist))
         poses.append((x, y, theta))
-        bearings = np.linspace(-math.pi, math.pi, n_beams, endpoint=False)
-        ranges = np.array(
-            [_raycast(grid, x, y, theta + b, max_range) for b in bearings]
-        )
-        ranges += rng.normal(0.0, 0.15, size=n_beams)
-        measurements.append(np.clip(ranges, 0.0, max_range))
+        noise[t] = rng.normal(0.0, 0.15, size=n_beams)
+    # Every beam of every pose in one march: a ray's range does not
+    # depend on the other rays, and the noise was drawn in step order.
+    xs, ys, thetas = np.array(poses, dtype=np.float64).reshape(n_steps, 3).T
+    bearings = np.linspace(-math.pi, math.pi, n_beams, endpoint=False)
+    ranges = raycast_batch(
+        grid, np.repeat(xs, n_beams), np.repeat(ys, n_beams),
+        (thetas[:, None] + bearings).ravel(), max_range,
+    ).reshape(n_steps, n_beams)
+    measurements = list(np.clip(ranges + noise, 0.0, max_range))
     return RobotWorld(
         grid=grid,
         resolution=1.0,

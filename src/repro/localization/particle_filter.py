@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.inputs import RobotWorld
+from ..core.inputs import RobotWorld, raycast_batch
 from ..core.profiler import KernelProfiler, ensure_profiler
 
 
@@ -52,48 +52,6 @@ class ParticleSet:
     def effective_sample_size(self) -> float:
         """1 / sum(w^2): collapses toward 1 as weights degenerate."""
         return float(1.0 / np.sum(self.weights**2))
-
-
-def raycast_batch(
-    grid: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    angles: np.ndarray,
-    max_range: float,
-    step: float = 0.25,
-) -> np.ndarray:
-    """Vectorized ray casting: distance to the first occupied cell.
-
-    All inputs are flat arrays of equal length; rays advance in ``step``
-    increments until they hit an occupied cell or leave the map.
-    """
-    rows, cols = grid.shape
-    n = x.size
-    dist = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    cos_t = np.cos(angles)
-    sin_t = np.sin(angles)
-    n_steps = int(max_range / step) + 1
-    for _ in range(n_steps):
-        if not alive.any():
-            break
-        px = x[alive] + dist[alive] * cos_t[alive]
-        py = y[alive] + dist[alive] * sin_t[alive]
-        inside = (px >= 0) & (px < cols) & (py >= 0) & (py < rows)
-        hit = np.zeros(inside.shape, dtype=bool)
-        if inside.any():
-            gx = px[inside].astype(np.int64)
-            gy = py[inside].astype(np.int64)
-            occupied = grid[gy, gx] != 0
-            hit_inside = np.zeros(inside.shape, dtype=bool)
-            hit_inside[np.nonzero(inside)[0][occupied]] = True
-            hit = hit_inside
-        done = hit | ~inside
-        alive_idx = np.nonzero(alive)[0]
-        alive[alive_idx[done]] = False
-        still = alive_idx[~done]
-        dist[still] += step
-    return np.minimum(dist, max_range)
 
 
 @dataclass

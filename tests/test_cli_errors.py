@@ -1,7 +1,8 @@
 """User errors on the CLI: exit status 2 and one line on stderr.
 
 Each subcommand that takes benchmark slugs must reject an unknown slug
-the same way, in a fresh process, without a Python traceback.
+the same way, in a fresh process, without a Python traceback; so must
+each subcommand that reads a suite export it cannot open or parse.
 """
 
 import os
@@ -25,21 +26,46 @@ UNKNOWN_SLUG_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", UNKNOWN_SLUG_COMMANDS,
-                         ids=[" ".join(a) for a in UNKNOWN_SLUG_COMMANDS])
-def test_unknown_benchmark_exits_2_with_one_line(argv, tmp_path):
+def _run_cli(argv, cwd):
+    """Run ``sdvbs <argv>`` in a fresh interpreter inside ``cwd``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
     )
-    completed = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
-        capture_output=True, text=True, cwd=str(tmp_path), env=env,
+        capture_output=True, text=True, cwd=str(cwd), env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("argv", UNKNOWN_SLUG_COMMANDS,
+                         ids=[" ".join(a) for a in UNKNOWN_SLUG_COMMANDS])
+def test_unknown_benchmark_exits_2_with_one_line(argv, tmp_path):
+    completed = _run_cli(argv, tmp_path)
     assert completed.returncode == 2, completed.stderr
     assert "Traceback" not in completed.stderr
     lines = completed.stderr.splitlines()
     assert len(lines) == 1, completed.stderr
     assert lines[0].startswith(f"sdvbs {argv[0]}: unknown benchmark 'bogus'")
+    assert completed.stdout == ""
+
+
+UNREADABLE_FILE_COMMANDS = [
+    ["compare", "missing.json", "missing.json"],
+    ["compare", "not-json.txt", "not-json.txt"],
+    ["regress", "missing.json"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_FILE_COMMANDS,
+                         ids=[" ".join(a) for a in UNREADABLE_FILE_COMMANDS])
+def test_unreadable_export_exits_2_with_one_line(argv, tmp_path):
+    (tmp_path / "not-json.txt").write_text("not json\n", encoding="utf-8")
+    completed = _run_cli(argv, tmp_path)
+    assert completed.returncode == 2, completed.stderr
+    assert "Traceback" not in completed.stderr
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1, completed.stderr
+    assert lines[0].startswith(f"sdvbs {argv[0]}: cannot read {argv[1]}: ")
     assert completed.stdout == ""
