@@ -77,6 +77,7 @@ input generators.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -195,6 +196,46 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
                         "vectorized implementations (default), 'ref' the "
                         "loop-faithful reference nests; recorded in the "
                         "run manifest (see KERNELS.md)")
+
+
+#: Output-path arguments per (sub)command, probed before any work starts.
+_OUTPUT_ARGS = {
+    "trace": ("out", "events"),
+    "flame": ("out",),
+    "report": ("out", "events", "json"),
+    "run": ("events",),
+    "figure2": ("events",),
+    "figure3": ("events",),
+    "history record": ("db",),
+    "profile record": ("db",),
+    "profile diff": ("db", "out", "html", "json_out"),
+}
+
+
+def _check_outputs(args: argparse.Namespace) -> bool:
+    """Probe each output path of the command once, before any work.
+
+    Each path is opened for append (nothing is truncated) and removed
+    again if the probe created it.  The first path that cannot be
+    written gets one line on stderr, and the result is False.
+    """
+    sub = getattr(args, f"{args.command}_command", None)
+    label = f"{args.command} {sub}" if sub else args.command
+    for name in _OUTPUT_ARGS.get(label, ()):
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        existed = os.path.exists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"sdvbs {label}: cannot write {path}: {exc}",
+                  file=sys.stderr)
+            return False
+        if not existed:
+            os.remove(path)
+    return True
 
 
 def _write_events(path: Optional[str], recorder: Optional[TraceRecorder],
@@ -1782,6 +1823,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     cli_argv = list(argv) if argv is not None else list(sys.argv[1:])
+    if not _check_outputs(args):
+        return 2
 
     if args.command == "list":
         print(render_table1())

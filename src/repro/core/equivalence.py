@@ -166,15 +166,45 @@ def _cases_min_eigenvalue(size: InputSize, variant: int) -> List[Case]:
 
 def _cases_sift_descriptor(size: InputSize, variant: int) -> List[Case]:
     from ..imgproc.gradient import gradient
+    from .inputs import rng_for
 
     img = _image(size, variant)
     gx, gy = gradient(img)
     magnitude = np.hypot(gx, gy)
     angle = np.arctan2(gy, gx)
     rows, cols = img.shape
+    # A flat patch: the keypoint pinned at its centre gets a zero
+    # descriptor (no normalization).
+    flat = magnitude.copy()
+    flat[rows // 2 - 12 : rows // 2 + 12, 8:32] = 0.0
+    rng = rng_for(size, variant, "backend-sift")
+    n = 64 * size.relative
+    pinned = np.array(
+        [  # row, col, orientation, scale
+            [1.0, cols / 2.0, 0.3, 1.5],          # clipped by the top,
+            [rows - 1.5, cols / 2.0, 2.0, 2.0],   # the bottom,
+            [rows / 2.0, 0.5, -0.7, 1.2],         # the left
+            [rows / 2.0, cols - 2.0, 1.1, 0.8],   # and the right border
+            [rows / 2.0, 20.0, 0.0, 0.5],         # inside the flat patch
+            [rows / 3.0, cols / 3.0, np.pi, 0.6],
+            [rows / 3.0, cols / 3.0, -np.pi, 0.6],
+        ]
+    )
+    many = np.concatenate([
+        pinned,
+        np.stack([
+            rng.uniform(-4.0, rows + 4.0, n),
+            rng.uniform(-4.0, cols + 4.0, n),
+            rng.uniform(-np.pi, np.pi, n),
+            rng.uniform(0.3, 3.0, n),
+        ], axis=1),
+    ])
     return [
-        ("centre", (magnitude, angle, rows / 2.0, cols / 2.0, 0.4, 1.3)),
-        ("border", (magnitude, angle, 3.0, 4.0, -1.1, 1.0)),
+        ("many", (flat, angle, *many.T)),
+        ("centre", (magnitude, angle, [rows / 2.0], [cols / 2.0], [0.4],
+                    [1.3])),
+        ("border", (magnitude, angle, [3.0], [4.0], [-1.1], [1.0])),
+        ("empty", (magnitude, angle, [], [], [], [])),
     ]
 
 

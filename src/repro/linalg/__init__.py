@@ -21,6 +21,7 @@ from .matrix import (
     matmul,
     solve,
     solve_spd,
+    solve_stack,
     transpose,
 )
 
@@ -46,6 +47,7 @@ __all__ = [
     "smallest_eigenvectors_operator",
     "solve",
     "solve_spd",
+    "solve_stack",
     "transpose",
     "tridiagonal_eigh",
 ]

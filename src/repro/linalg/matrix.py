@@ -46,37 +46,72 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.float64)
 
 
+def solve_stack(a: np.ndarray, b: np.ndarray,
+                pivot_tol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of systems ``a[k] @ x[k] = b[k]`` by Gaussian
+    elimination with partial pivoting, all systems at once.
+
+    ``a`` has shape ``(K, n, n)``; ``b`` is ``(K, n)`` or ``(K, n, m)``.
+    Returns ``(x, singular)``: ``x`` has the shape of ``b`` and
+    ``singular`` is a ``(K,)`` bool mask of the systems whose elimination
+    met a pivot at most ``pivot_tol`` times their largest entry (at
+    least 1); their rows of ``x`` are NaN.  Each system sees the same
+    operations, in the same order, as a one-system elimination.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got {a.shape}")
+    count, n = a.shape[:2]
+    b = np.asarray(b, dtype=np.float64)
+    vector_rhs = b.ndim == 2
+    if b.ndim not in (2, 3) or b.shape[:2] != (count, n):
+        raise ValueError(f"rhs of shape {b.shape} incompatible with {a.shape}")
+    rhs = (b[:, :, None] if vector_rhs else b).copy()
+    work = a.copy()
+    stack = np.arange(count)
+    scale = np.fmax(1.0, np.abs(work).max(axis=(1, 2), initial=0.0))
+    singular = np.zeros(count, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col in range(n):
+            pivot_row = col + np.argmax(np.abs(work[:, col:, col]), axis=1)
+            pivot = work[stack, pivot_row, col]
+            singular |= np.abs(pivot) <= pivot_tol * scale
+            for arr in (work, rhs):
+                swapped = arr[stack, pivot_row]
+                arr[stack, pivot_row] = arr[:, col]
+                arr[:, col] = swapped
+            factors = work[:, col + 1 :, col] / work[:, col, None, col]
+            factors = factors[:, :, None]
+            work[:, col + 1 :, col:] -= factors * work[:, None, col, col:]
+            rhs[:, col + 1 :] -= factors * rhs[:, None, col]
+        x = np.zeros_like(rhs)
+        for row in range(n - 1, -1, -1):
+            # Stacked matmul runs the same BLAS dot/gemv per system as the
+            # one-system ``work[row, row+1:] @ x[row+1:]``.
+            done = np.matmul(work[:, row, None, row + 1 :], x[:, row + 1 :])
+            x[:, row] = (rhs[:, row] - done[:, 0]) / work[:, row, row, None]
+    x[singular] = np.nan
+    return (x[:, :, 0] if vector_rhs else x), singular
+
+
 def solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 
-    ``b`` may be a vector or a matrix of right-hand sides.
+    ``b`` may be a vector or a matrix of right-hand sides.  The
+    one-system case of :func:`solve_stack`; raises
+    :class:`SingularMatrixError` where that reports a singular system.
     """
     a = _as_matrix(a)
     n, m = a.shape
     if n != m:
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     b = np.asarray(b, dtype=np.float64)
-    vector_rhs = b.ndim == 1
-    rhs = b.reshape(n, -1).copy() if b.shape[0] == n else None
-    if rhs is None:
+    if b.ndim == 0 or b.shape[0] != n:
         raise ValueError(f"rhs of shape {b.shape} incompatible with {a.shape}")
-    work = a.copy()
-    scale = max(1.0, float(np.abs(work).max()))
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
-        pivot = work[pivot_row, col]
-        if abs(pivot) <= pivot_tol * scale:
-            raise SingularMatrixError(f"singular at column {col}")
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-        factors = work[col + 1 :, col] / work[col, col]
-        work[col + 1 :, col:] -= np.outer(factors, work[col, col:])
-        rhs[col + 1 :] -= np.outer(factors, rhs[col])
-    x = np.zeros_like(rhs)
-    for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - work[row, row + 1 :] @ x[row + 1 :]) / work[row, row]
-    return x[:, 0] if vector_rhs else x
+    x, singular = solve_stack(a[None], b.reshape(1, n, -1), pivot_tol)
+    if singular[0]:
+        raise SingularMatrixError("singular matrix")
+    return x[0, :, 0] if b.ndim == 1 else x[0]
 
 
 def inverse(a: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:

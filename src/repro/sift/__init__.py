@@ -4,19 +4,18 @@ from .benchmark import BENCHMARK, KERNELS, N_OCTAVES, SCALES_PER_OCTAVE
 from .descriptors import (
     SiftFeature,
     describe_keypoints,
-    descriptor_at,
-    dominant_orientations,
+    descriptors_at,
     match_descriptors,
-    orientation_histogram,
+    orientation_histograms,
+    orientation_peaks,
 )
 from .mser import LEVELS, MserRegion, detect_mser
 from .keypoints import (
     Keypoint,
     build_scale_space,
     detect_keypoints,
-    edge_response_ok,
     local_extrema_mask,
-    refine_candidate,
+    refine_candidates,
 )
 from .sift import SiftResult, contrast_normalize, extract_features
 
@@ -33,14 +32,13 @@ __all__ = [
     "build_scale_space",
     "contrast_normalize",
     "describe_keypoints",
-    "descriptor_at",
+    "descriptors_at",
     "detect_keypoints",
     "detect_mser",
-    "dominant_orientations",
-    "edge_response_ok",
     "extract_features",
     "local_extrema_mask",
     "match_descriptors",
-    "orientation_histogram",
-    "refine_candidate",
+    "orientation_histograms",
+    "orientation_peaks",
+    "refine_candidates",
 ]

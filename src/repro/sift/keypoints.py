@@ -4,19 +4,20 @@ Candidates are local extrema of the Difference-of-Gaussians pyramid over a
 3x3x3 neighbourhood (space x scale).  Each candidate is refined by fitting
 a quadratic to the DoG (one Newton step on the 3-D gradient/Hessian) and
 pruned by contrast and by the Harris-style edge-response ratio, following
-Lowe's criteria.
+Lowe's criteria.  All candidates of one DoG level are refined and pruned
+together, as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.profiler import KernelProfiler, ensure_profiler
 from ..imgproc.pyramid import ScaleSpace, scale_space
-from ..linalg.matrix import SingularMatrixError, solve
+from ..linalg.matrix import solve_stack
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,34 @@ class Keypoint:
     orientation: float = 0.0
 
 
+def _across3(layer: np.ndarray, op) -> np.ndarray:
+    """``op`` over each pixel's horizontal run of 3 (interior columns)."""
+    out = op(layer[:, :-2], layer[:, 1:-1])
+    return op(out, layer[:, 2:], out=out)
+
+
+def _neighbour_extreme(below: np.ndarray, here: np.ndarray,
+                       above: np.ndarray, op) -> np.ndarray:
+    """``op`` over the 26 neighbours of each interior pixel of ``here``:
+    runs of 3 along rows, then across rows, accumulated in place."""
+    runs = _across3(here, op)
+    out = op(runs[:-2], runs[2:])
+    op(out, here[1:-1, :-2], out=out)
+    op(out, here[1:-1, 2:], out=out)
+    for layer in (below, above):
+        runs = _across3(layer, op)
+        for shift in range(3):
+            op(out, runs[shift : shift + out.shape[0]], out=out)
+    return out
+
+
 def local_extrema_mask(below: np.ndarray, here: np.ndarray,
                        above: np.ndarray, threshold: float) -> np.ndarray:
     """Pixels of ``here`` that are 3x3x3 extrema above ``threshold``.
 
-    Border pixels are excluded.  Vectorized by comparing against the max/
-    min over all 26 neighbours computed with shifted views.
+    Border pixels are excluded.  The max/min over the 26 neighbours is
+    taken separably and in place; both are exact, so the order of the
+    comparisons cannot change the mask.
     """
     if not (below.shape == here.shape == above.shape):
         raise ValueError("scale slices must share a shape")
@@ -45,83 +68,78 @@ def local_extrema_mask(below: np.ndarray, here: np.ndarray,
     if rows < 3 or cols < 3:
         return np.zeros_like(here, dtype=bool)
     center = here[1:-1, 1:-1]
-    neighbour_max = np.full(center.shape, -np.inf)
-    neighbour_min = np.full(center.shape, np.inf)
-    for layer in (below, here, above):
-        for dy in (0, 1, 2):
-            for dx in (0, 1, 2):
-                view = layer[dy : rows - 2 + dy, dx : cols - 2 + dx]
-                if layer is here and dy == 1 and dx == 1:
-                    continue
-                neighbour_max = np.maximum(neighbour_max, view)
-                neighbour_min = np.minimum(neighbour_min, view)
-    is_max = (center > neighbour_max) & (center > threshold)
-    is_min = (center < neighbour_min) & (center < -threshold)
+    neighbour_max = _neighbour_extreme(below, here, above, np.maximum)
+    is_max = center > neighbour_max
+    is_max &= center > threshold
+    del neighbour_max
+    neighbour_min = _neighbour_extreme(below, here, above, np.minimum)
+    is_min = center < neighbour_min
+    is_min &= center < -threshold
     mask = np.zeros_like(here, dtype=bool)
-    mask[1:-1, 1:-1] = is_max | is_min
+    np.logical_or(is_max, is_min, out=mask[1:-1, 1:-1])
     return mask
 
 
-def refine_candidate(dogs: Sequence[np.ndarray], scale: int, row: int,
-                     col: int) -> Optional[np.ndarray]:
-    """One Newton refinement step in (row, col, scale).
+def refine_candidates(
+    dogs: Sequence[np.ndarray],
+    scale: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    edge_ratio: float = 10.0,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Newton step in (row, col, scale) for every candidate of a level.
 
-    Returns the offset vector ``[dr, dc, ds]`` or ``None`` when the
-    Hessian is singular.  Offsets larger than 1.5 in any coordinate mark
-    unstable candidates (rejected by the caller).
+    ``rows``/``cols`` are interior pixels of ``dogs[scale]``.  The finite
+    differences of all candidates are gathered at once and their 3x3
+    systems solved in one :func:`~repro.linalg.matrix.solve_stack` call.
+    Returns ``(offsets, values, ok)``: the ``(K, 3)`` offsets
+    ``[dr, dc, ds]``, the DoG value interpolated at each offset, and a
+    mask that is false where the Hessian is singular or where Lowe's edge
+    test (high curvature ratio: a ridge) rejects the candidate.  The
+    caller prunes offsets beyond 1.5 and low-contrast values.
     """
-    d = dogs
-    grad = np.array(
+    below, here, above = dogs[scale - 1], dogs[scale], dogs[scale + 1]
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    centre = here[r, c]
+    grad = np.stack(
         [
-            (d[scale][row + 1, col] - d[scale][row - 1, col]) / 2.0,
-            (d[scale][row, col + 1] - d[scale][row, col - 1]) / 2.0,
-            (d[scale + 1][row, col] - d[scale - 1][row, col]) / 2.0,
-        ]
+            (here[r + 1, c] - here[r - 1, c]) / 2.0,
+            (here[r, c + 1] - here[r, c - 1]) / 2.0,
+            (above[r, c] - below[r, c]) / 2.0,
+        ],
+        axis=1,
     )
-    drr = d[scale][row + 1, col] - 2 * d[scale][row, col] + d[scale][row - 1, col]
-    dcc = d[scale][row, col + 1] - 2 * d[scale][row, col] + d[scale][row, col - 1]
-    dss = d[scale + 1][row, col] - 2 * d[scale][row, col] + d[scale - 1][row, col]
+    drr = here[r + 1, c] - 2 * centre + here[r - 1, c]
+    dcc = here[r, c + 1] - 2 * centre + here[r, c - 1]
+    dss = above[r, c] - 2 * centre + below[r, c]
     drc = (
-        d[scale][row + 1, col + 1]
-        - d[scale][row + 1, col - 1]
-        - d[scale][row - 1, col + 1]
-        + d[scale][row - 1, col - 1]
+        here[r + 1, c + 1] - here[r + 1, c - 1] - here[r - 1, c + 1]
+        + here[r - 1, c - 1]
     ) / 4.0
     drs = (
-        d[scale + 1][row + 1, col]
-        - d[scale + 1][row - 1, col]
-        - d[scale - 1][row + 1, col]
-        + d[scale - 1][row - 1, col]
+        above[r + 1, c] - above[r - 1, c] - below[r + 1, c]
+        + below[r - 1, c]
     ) / 4.0
     dcs = (
-        d[scale + 1][row, col + 1]
-        - d[scale + 1][row, col - 1]
-        - d[scale - 1][row, col + 1]
-        + d[scale - 1][row, col - 1]
+        above[r, c + 1] - above[r, c - 1] - below[r, c + 1]
+        + below[r, c - 1]
     ) / 4.0
-    hessian = np.array([[drr, drc, drs], [drc, dcc, dcs], [drs, dcs, dss]])
-    try:
-        return -solve(hessian, grad)
-    except SingularMatrixError:
-        return None
-
-
-def edge_response_ok(dog: np.ndarray, row: int, col: int,
-                     edge_ratio: float = 10.0) -> bool:
-    """Lowe's edge test: reject candidates on ridges (high curvature ratio)."""
-    drr = dog[row + 1, col] - 2 * dog[row, col] + dog[row - 1, col]
-    dcc = dog[row, col + 1] - 2 * dog[row, col] + dog[row, col - 1]
-    drc = (
-        dog[row + 1, col + 1]
-        - dog[row + 1, col - 1]
-        - dog[row - 1, col + 1]
-        + dog[row - 1, col - 1]
-    ) / 4.0
+    hessian = np.stack(
+        [drr, drc, drs, drc, dcc, dcs, drs, dcs, dss], axis=1
+    ).reshape(-1, 3, 3)
+    x, singular = solve_stack(hessian, grad)
+    offsets = -x
+    # Stacked matmul runs the same BLAS dot per candidate as ``offset @
+    # grad``; an explicit sum of products would round differently.
+    step = np.matmul(offsets[:, None, :], grad[:, :, None])[:, 0, 0]
+    values = centre + 0.5 * step
     trace = drr + dcc
     det = drr * dcc - drc * drc
-    if det <= 0.0:
-        return False
-    return trace * trace / det < (edge_ratio + 1.0) ** 2 / edge_ratio
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge_ok = trace * trace / det < (edge_ratio + 1.0) ** 2 / edge_ratio
+    ok = ~singular & (det > 0.0) & edge_ok
+    return offsets, values, ok
 
 
 def detect_keypoints(
@@ -133,9 +151,11 @@ def detect_keypoints(
 ) -> List[Keypoint]:
     """Find refined, pruned keypoints across all octaves.
 
-    Coordinates are reported in the original (pre-upsampling) image frame
-    when ``upsampled`` is true, matching the pipeline in
-    :func:`repro.sift.sift.extract_features`.
+    Candidates of one DoG level are refined and pruned together by
+    :func:`refine_candidates`; keypoints keep the level's row-major
+    candidate order.  Coordinates are reported in the original
+    (pre-upsampling) image frame when ``upsampled`` is true, matching the
+    pipeline in :func:`repro.sift.sift.extract_features`.
     """
     profiler = ensure_profiler(profiler)
     keypoints: List[Keypoint] = []
@@ -148,34 +168,21 @@ def detect_keypoints(
                 mask = local_extrema_mask(
                     dogs[s - 1], dogs[s], dogs[s + 1], contrast_threshold
                 )
-                for row, col in zip(*np.nonzero(mask)):
-                    offset = refine_candidate(dogs, s, int(row), int(col))
-                    if offset is None or np.abs(offset).max() > 1.5:
-                        continue
-                    value = dogs[s][row, col] + 0.5 * float(
-                        offset
-                        @ np.array(
-                            [
-                                (dogs[s][row + 1, col] - dogs[s][row - 1, col]) / 2,
-                                (dogs[s][row, col + 1] - dogs[s][row, col - 1]) / 2,
-                                (dogs[s + 1][row, col] - dogs[s - 1][row, col]) / 2,
-                            ]
-                        )
-                    )
-                    if abs(value) < contrast_threshold:
-                        continue
-                    if not edge_response_ok(dogs[s], int(row), int(col),
-                                            edge_ratio):
-                        continue
+                rows, cols = np.nonzero(mask)
+                offsets, values, ok = refine_candidates(
+                    dogs, s, rows, cols, edge_ratio
+                )
+                keep = ok & ~(np.abs(offsets).max(axis=1) > 1.5)
+                keep &= ~(np.abs(values) < contrast_threshold)
+                sigma = space.sigmas[s] * pixel_scale
+                kept_rows = (rows[keep] + offsets[keep, 0]) * pixel_scale
+                kept_cols = (cols[keep] + offsets[keep, 1]) * pixel_scale
+                for row, col, value in zip(kept_rows.tolist(),
+                                           kept_cols.tolist(),
+                                           values[keep].tolist()):
                     keypoints.append(
-                        Keypoint(
-                            row=(float(row) + float(offset[0])) * pixel_scale,
-                            col=(float(col) + float(offset[1])) * pixel_scale,
-                            octave=space.octave,
-                            scale_index=s,
-                            sigma=space.sigmas[s] * pixel_scale,
-                            response=float(value),
-                        )
+                        Keypoint(row=row, col=col, octave=space.octave,
+                                 scale_index=s, sigma=sigma, response=value)
                     )
     return keypoints
 

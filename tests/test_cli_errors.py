@@ -2,7 +2,8 @@
 
 Each subcommand that takes benchmark slugs must reject an unknown slug
 the same way, in a fresh process, without a Python traceback; so must
-each subcommand that reads a suite export it cannot open or parse.
+each subcommand that reads a suite export it cannot open or parse, and
+each that is given an output path it cannot write (before any work).
 """
 
 import os
@@ -69,3 +70,36 @@ def test_unreadable_export_exits_2_with_one_line(argv, tmp_path):
     assert len(lines) == 1, completed.stderr
     assert lines[0].startswith(f"sdvbs {argv[0]}: cannot read {argv[1]}: ")
     assert completed.stdout == ""
+
+
+UNWRITABLE_OUTPUT_COMMANDS = [
+    (["trace", "disparity", "--size", "sqcif", "--out", "missing/t.json"],
+     "trace", "missing/t.json"),
+    (["trace", "disparity", "--size", "sqcif", "--events",
+      "missing/e.jsonl"], "trace", "missing/e.jsonl"),
+    (["flame", "disparity", "--size", "sqcif", "--out",
+      "missing/f.collapsed"], "flame", "missing/f.collapsed"),
+    (["report", "disparity", "--sizes", "sqcif", "--out", "missing/r.html"],
+     "report", "missing/r.html"),
+    (["run", "disparity", "--sizes", "sqcif", "--events", "missing/e.jsonl"],
+     "run", "missing/e.jsonl"),
+    (["history", "record", "r.json", "--db", "missing/h.sqlite"],
+     "history record", "missing/h.sqlite"),
+    (["profile", "diff", "a", "b", "--benchmark", "disparity", "--db",
+      "missing/p.sqlite"], "profile diff", "missing/p.sqlite"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, label, path", UNWRITABLE_OUTPUT_COMMANDS,
+    ids=[" ".join(a) for a, _, _ in UNWRITABLE_OUTPUT_COMMANDS])
+def test_unwritable_output_exits_2_with_one_line(argv, label, path,
+                                                 tmp_path):
+    completed = _run_cli(argv, tmp_path)
+    assert completed.returncode == 2, completed.stderr
+    assert "Traceback" not in completed.stderr
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1, completed.stderr
+    assert lines[0].startswith(f"sdvbs {label}: cannot write {path}: ")
+    assert completed.stdout == ""
+    assert list(tmp_path.iterdir()) == []  # the probes left nothing behind

@@ -11,12 +11,12 @@ from repro.sift import (
     contrast_normalize,
     describe_keypoints,
     detect_keypoints,
-    dominant_orientations,
     extract_features,
     local_extrema_mask,
     match_descriptors,
-    orientation_histogram,
-    refine_candidate,
+    orientation_histograms,
+    orientation_peaks,
+    refine_candidates,
 )
 
 
@@ -73,9 +73,9 @@ class TestRefinement:
         # Find the strongest response location at scale 1.
         s = 1
         r, c = np.unravel_index(np.argmax(np.abs(dogs[s])), dogs[s].shape)
-        offset = refine_candidate(dogs, s, int(r), int(c))
-        assert offset is not None
-        assert np.abs(offset[:2]).max() < 1.5
+        offsets, _values, ok = refine_candidates(dogs, s, [r], [c])
+        assert ok.tolist() == [True]
+        assert np.abs(offsets[0, :2]).max() < 1.5
 
 
 class TestDetection:
@@ -108,20 +108,24 @@ class TestOrientation:
         gx, gy = gradient(cols)
         mag = np.hypot(gx, gy)
         ang = np.arctan2(gy, gx)
-        hist = orientation_histogram(mag, ang, 16, 16, radius=6, sigma=3.0)
-        angles = dominant_orientations(hist)
-        assert angles
-        assert min(abs(a) for a in angles) < 0.3
+        hists = orientation_histograms(mag, ang, [16], [16], radius=6,
+                                       sigmas=[3.0])
+        owner, angles = orientation_peaks(hists)
+        assert angles.size
+        assert owner.tolist() == [0] * angles.size
+        assert np.abs(angles).min() < 0.3
 
     def test_empty_histogram_no_peaks(self):
-        assert dominant_orientations(np.zeros(36)) == []
+        owner, angles = orientation_peaks(np.zeros((1, 36)))
+        assert owner.size == 0 and angles.size == 0
 
     def test_two_peaks_detected(self):
-        hist = np.zeros(36)
-        hist[0] = 10.0
-        hist[18] = 9.5
-        angles = dominant_orientations(hist, peak_ratio=0.8)
-        assert len(angles) == 2
+        hists = np.zeros((2, 36))
+        hists[1, 0] = 10.0
+        hists[1, 18] = 9.5
+        owner, angles = orientation_peaks(hists, peak_ratio=0.8)
+        assert owner.tolist() == [1, 1]
+        assert angles.size == 2
 
 
 class TestDescriptors:
