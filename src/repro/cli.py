@@ -209,6 +209,8 @@ _OUTPUT_ARGS = {
     "history record": ("db",),
     "profile record": ("db",),
     "profile diff": ("db", "out", "html", "json_out"),
+    "regress": ("json_out",),
+    "stream": ("json", "trace"),
 }
 
 
@@ -768,6 +770,7 @@ def _attribute_report(args: argparse.Namespace, report, candidate_result,
         cell_profiles,
         open_profiles,
         pair_lookup_from_results,
+        pair_lookup_from_store,
     )
     from .core.regress import STATUS_REGRESSION, attribute_regressions
 
@@ -783,19 +786,16 @@ def _attribute_report(args: argparse.Namespace, report, candidate_result,
         candidate_commit = commit or current_commit()
         candidate_cells = cell_profiles(candidate_result)
         with open_profiles(args.profiles) as store:
+            from_store = pair_lookup_from_store(store, baseline_commit,
+                                                candidate_commit)
 
             def lookup(benchmark: str, size: str):
+                cand = candidate_cells.get((benchmark, size))
+                if cand is None:
+                    return from_store(benchmark, size)
                 base = store.latest_profile(baseline_commit, benchmark,
                                             size)
                 if base is None:
-                    return None
-                cand = candidate_cells.get((benchmark, size))
-                if cand is None:
-                    entry = store.latest_profile(candidate_commit,
-                                                 benchmark, size)
-                    cand = (entry.sampled_profile()
-                            if entry is not None else None)
-                if cand is None:
                     return None
                 return base.sampled_profile(), cand
 

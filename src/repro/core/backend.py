@@ -190,39 +190,6 @@ def register_kernel(
     return decorate
 
 
-def register_ref_only(
-    name: str,
-    *,
-    paper_kernel: str,
-    apps: Sequence[str],
-    doc: str = "",
-    work: Optional[Callable] = None,
-) -> Callable[[Callable], Callable]:
-    """Register a kernel that (so far) has only its reference path.
-
-    The returned wrapper dispatches like any other kernel; under
-    ``backend="fast"`` it transparently runs ``ref`` (the fallback the
-    tests pin down).  Adding a fast path later means switching the
-    module to :func:`register_kernel`.
-    """
-
-    def decorate(ref_fn: Callable) -> Callable:
-        spec = KernelSpec(
-            name=name,
-            paper_kernel=paper_kernel,
-            apps=tuple(apps),
-            ref=ref_fn,
-            fast=None,
-            doc=doc or _first_doc_line(ref_fn),
-            module=ref_fn.__module__,
-            work=work,
-        )
-        _register(spec)
-        return _make_dispatch(spec, ref_fn)
-
-    return decorate
-
-
 def _register(spec: KernelSpec) -> None:
     if spec.name in _registry:
         raise ValueError(f"kernel {spec.name!r} already registered")

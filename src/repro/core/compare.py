@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .report import format_table
-from .types import NON_KERNEL_WORK, InputSize, SuiteResult
+from .types import InputSize, SuiteResult
 
 
 #: Three-way significance verdicts produced by :meth:`SpeedupEntry.verdict`.
@@ -174,27 +174,3 @@ def render_comparison(
         table
         + f"\ngeometric mean speedup: {geometric_mean_speedup(entries):.2f}x"
     )
-
-
-def hotspot_shift_report(
-    baseline: SuiteResult,
-    candidate: SuiteResult,
-    slug: str,
-    size: InputSize,
-    threshold: float = 1.0,
-) -> Optional[str]:
-    """Human-readable note of kernels whose share moved > ``threshold``
-    points, or ``None`` when the profile is stable."""
-    drift = occupancy_drift(baseline, candidate, slug, size)
-    moved = {
-        kernel: delta
-        for kernel, delta in drift.items()
-        if abs(delta) > threshold and kernel != NON_KERNEL_WORK
-    }
-    if not moved:
-        return None
-    parts = [
-        f"{kernel} {delta:+.1f}pp"
-        for kernel, delta in sorted(moved.items(), key=lambda kv: -abs(kv[1]))
-    ]
-    return f"{slug}@{size.name}: " + ", ".join(parts)

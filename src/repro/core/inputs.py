@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -612,8 +612,3 @@ def texture_sample(size: InputSize, variant: int = 0,
     if peak > 0:
         tex /= peak
     return tex
-
-
-def all_variants(size: InputSize) -> List[int]:
-    """The variant indices shipped per size (paper: five per size)."""
-    return list(range(VARIANTS_PER_SIZE))

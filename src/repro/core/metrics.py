@@ -488,16 +488,6 @@ class MetricsRegistry:
         }
 
 
-def kernel_work_from_dict(
-    payload: Mapping[str, object]) -> Dict[str, KernelWork]:
-    """Rebuild the per-kernel work table from a ``metrics`` export block."""
-    kernels: Mapping[str, Mapping[str, object]] = payload.get("kernels", {})  # type: ignore[assignment]
-    return {
-        name: KernelWork.from_dict(name, entry)
-        for name, entry in kernels.items()
-    }
-
-
 # ----------------------------------------------------------------------
 # Active registry (scoped, per process — mirrors backend selection)
 

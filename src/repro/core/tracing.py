@@ -367,13 +367,6 @@ class NullRecorder(TraceRecorder):
         pass
 
 
-def ensure_recorder(recorder: Optional[TraceRecorder]) -> TraceRecorder:
-    """Return ``recorder`` or a fresh no-op :class:`NullRecorder`."""
-    if recorder is None:
-        return NullRecorder()
-    return recorder
-
-
 # ----------------------------------------------------------------------
 # Run manifests
 

@@ -1,15 +1,18 @@
-"""Symmetric eigensolvers: cyclic Jacobi and Lanczos.
+"""Symmetric eigensolvers: cyclic Jacobi, tridiagonal QL and Lanczos.
 
 The segmentation benchmark's "Eigensolve" kernel computes the smallest
 eigenvectors of a (large, sparse-structured) normalized Laplacian.  We
-provide a dense cyclic-Jacobi solver for small systems and a Lanczos
-iteration with full reorthogonalization for the Laplacian itself, with the
-small tridiagonal problem delegated back to Jacobi.
+provide a dense cyclic-Jacobi solver for small systems and, for the
+Laplacian itself, one Lanczos basis with full reorthogonalization that
+grows in place as the Krylov dimension doubles.  Its tridiagonal
+projection is reduced by QL for the Ritz values only, and inverse
+iteration forms just the wanted Ritz vectors.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,44 +64,38 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
     return values[order], vectors[:, order]
 
 
-def tridiagonal_eigh(diag: np.ndarray,
-                     off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric tridiagonal matrix (QL + shifts).
+def _tql(d: List[float], e: List[float],
+         z: Optional[np.ndarray] = None) -> None:
+    """Implicit-shift QL on a symmetric tridiagonal matrix, in place.
 
-    ``diag`` holds the ``n`` diagonal entries, ``off`` the ``n - 1``
-    sub-diagonal entries.  Classic ``tql2`` with implicit Wilkinson-style
-    shifts: O(n^2) work, returns ascending eigenvalues and eigenvectors in
-    columns.
+    ``d`` holds the ``n`` diagonal entries and ``e`` the ``n`` couplings
+    (``e[i]`` joins ``i`` and ``i + 1``; ``e[n - 1]`` is zero), both as
+    Python floats; on return ``d`` holds the eigenvalues, unsorted.  When
+    the accumulator ``z`` is given, every rotation is also applied to its
+    rows, so a ``z`` that starts as the identity ends with row ``i`` the
+    eigenvector of ``d[i]``.
     """
-    d = np.asarray(diag, dtype=np.float64).copy()
-    n = d.size
-    e = np.zeros(n)
-    if n > 1:
-        off = np.asarray(off, dtype=np.float64)
-        if off.size != n - 1:
-            raise ValueError(f"off-diagonal must have {n - 1} entries")
-        e[: n - 1] = off
-    z = np.eye(n)
+    n = len(d)
+    hypot = math.hypot
     for l in range(n):
         for _iteration in range(50):
             # Find the end of the unreduced block starting at l.
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= 1e-15 * dd:
+                if abs(e[m]) <= 1e-15 * (abs(d[m]) + abs(d[m + 1])):
                     break
                 m += 1
             if m == l:
                 break
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
+            r = hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
             s, c = 1.0, 1.0
             p = 0.0
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = np.hypot(f, g)
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
@@ -111,17 +108,172 @@ def tridiagonal_eigh(diag: np.ndarray,
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col_next = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col_next
-                z[:, i] = c * z[:, i] - s * col_next
+                if z is not None:
+                    z[i], z[i + 1] = (c * z[i] - s * z[i + 1],
+                                      s * z[i] + c * z[i + 1])
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-                continue
-        # block converged for index l
+
+
+def tridiagonal_eigh(diag: np.ndarray,
+                     off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric tridiagonal matrix (QL + shifts).
+
+    ``diag`` holds the ``n`` diagonal entries, ``off`` the ``n - 1``
+    sub-diagonal entries.  Classic ``tql2`` with implicit Wilkinson-style
+    shifts: O(n^2) work, returns ascending eigenvalues and eigenvectors in
+    columns.
+    """
+    d = np.asarray(diag, dtype=np.float64).tolist()
+    n = len(d)
+    off = np.asarray(off, dtype=np.float64).ravel()
+    if n > 1 and off.size != n - 1:
+        raise ValueError(f"off-diagonal must have {n - 1} entries")
+    e = off[: max(n - 1, 0)].tolist() + [0.0]
+    z = np.eye(n)
+    _tql(d, e, z)
     order = np.argsort(d)
-    return d[order], z[:, order]
+    return np.array(d)[order], z[order].T
+
+
+def _shifted_solver(diag: Sequence[float], off: Sequence[float],
+                    shift: float, tiny: float
+                    ) -> Callable[[List[float]], List[float]]:
+    """``b -> (T - shift I)^-1 b`` for the symmetric tridiagonal ``T``.
+
+    Gaussian elimination with partial pivoting (LAPACK's ``gttrf`` /
+    ``gttrs`` layout: multipliers ``dl``, pivots ``d``, two
+    superdiagonals ``du``/``du2``).  Pivots smaller than ``tiny`` are
+    replaced by ``tiny``, so an exact eigenvalue shift still solves.
+    """
+    k = len(diag)
+    d = [value - shift for value in diag]
+    du = list(off)
+    dl = list(off)
+    du2 = [0.0] * k
+    swapped = [False] * k
+    for i in range(k - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if abs(d[i]) < tiny:
+                d[i] = math.copysign(tiny, d[i])
+            fact = dl[i] / d[i]
+            dl[i] = fact
+            d[i + 1] -= fact * du[i]
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            dl[i] = fact
+            du[i], d[i + 1] = d[i + 1], du[i] - fact * d[i + 1]
+            if i < k - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du[i + 1]
+            swapped[i] = True
+    d = [value if abs(value) >= tiny else math.copysign(tiny, value)
+         for value in d]
+
+    def solve(b: List[float]) -> List[float]:
+        x = list(b)
+        for i in range(k - 1):
+            if swapped[i]:
+                x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
+            else:
+                x[i + 1] -= dl[i] * x[i]
+        x[k - 1] /= d[k - 1]
+        if k > 1:
+            x[k - 2] = (x[k - 2] - du[k - 2] * x[k - 1]) / d[k - 2]
+        for i in range(k - 3, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+        return x
+
+    return solve
+
+
+def tridiagonal_inverse_iteration(diag: Sequence[float],
+                                  off: Sequence[float],
+                                  values: Sequence[float],
+                                  seed: int = 0) -> np.ndarray:
+    """Eigenvectors of a symmetric tridiagonal matrix for known eigenvalues.
+
+    ``diag``/``off`` are as in :func:`tridiagonal_eigh`; returns one unit
+    vector per entry of ``values``, in columns.  Each comes from three
+    steps of inverse iteration on ``T - value * I`` started from a
+    ``seed``-drawn vector, with tiny pivots replaced by ``eps * |T|``.
+    Every iterate is orthogonalized against the vectors already found, so
+    clustered values still give independent vectors.
+    """
+    diag = [float(value) for value in diag]
+    off = [float(value) for value in off]
+    k = len(diag)
+    if len(off) != max(k - 1, 0):
+        raise ValueError(f"off-diagonal must have {max(k - 1, 0)} entries")
+    padded = [0.0] + [abs(value) for value in off] + [0.0]
+    norm = max(abs(diag[i]) + padded[i] + padded[i + 1] for i in range(k))
+    eps = float(np.finfo(np.float64).eps)
+    tiny = eps * norm if norm > 0.0 else eps
+    rng = np.random.default_rng(seed)
+    found = np.empty((len(values), k))
+    for j, value in enumerate(values):
+        solve = _shifted_solver(diag, off, float(value), tiny)
+        x = rng.standard_normal(k)
+        for _step in range(3):
+            x = np.array(solve(x.tolist()))
+            for _pass in range(2):
+                x -= (found[:j] @ x) @ found[:j]
+            x /= np.linalg.norm(x)
+        found[j] = x
+    return found.T
+
+
+class _KrylovBasis:
+    """A Lanczos basis with full reorthogonalization, grown in place.
+
+    The orthonormal basis vectors are the rows of ``q``; ``alphas`` and
+    ``betas`` hold the tridiagonal projection (``betas[j]`` couples steps
+    ``j`` and ``j + 1``).  :meth:`extend` continues the recurrence where
+    it stopped, so a larger Krylov dimension costs only the operator
+    applications of its new steps.
+    """
+
+    def __init__(self, matvec: Callable[[np.ndarray], np.ndarray], n: int,
+                 seed: int = 0, tol: float = 1e-10) -> None:
+        start = np.random.default_rng(seed).standard_normal(n)
+        self._matvec = matvec
+        self._tol = tol
+        self._next = start / np.linalg.norm(start)
+        self.q = np.empty((0, n))
+        self.alphas: List[float] = []
+        self.betas: List[float] = []
+        self.invariant = False
+
+    def extend(self, k: int) -> None:
+        """Grow to ``k`` steps; stop early once the space is invariant."""
+        m = len(self.alphas)
+        if self.invariant or k <= m:
+            return
+        q = np.empty((k, self.q.shape[1]))
+        q[:m] = self.q
+        self.q = q
+        for j in range(m, k):
+            q[j] = self._next
+            w = self._matvec(q[j])
+            alpha = float(q[j] @ w)
+            w = w - alpha * q[j]
+            if j > 0:
+                w -= self.betas[j - 1] * q[j - 1]
+            # Full reorthogonalization: classical Gram-Schmidt, twice.
+            block = q[: j + 1]
+            for _pass in range(2):
+                w -= (block @ w) @ block
+            beta = float(np.linalg.norm(w))
+            self.alphas.append(alpha)
+            if beta <= self._tol:
+                self.invariant = True  # invariant subspace found
+                self.q = q[: j + 1]
+                return
+            self.betas.append(beta)
+            self._next = w / beta
 
 
 def lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
@@ -129,42 +281,18 @@ def lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
     """Lanczos iteration with full reorthogonalization.
 
     ``matvec`` applies a symmetric ``n x n`` operator.  Builds a ``k``-step
-    Krylov basis, eigensolves the tridiagonal projection with Jacobi, and
+    Krylov basis, eigensolves the tridiagonal projection with QL, and
     returns the ``k`` Ritz pairs ``(values ascending, vectors in columns)``.
     Early termination (invariant subspace) shrinks ``k``.
     """
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas = []
-    betas = []
-    for j in range(k):
-        w = matvec(basis[j])
-        alpha = float(basis[j] @ w)
-        alphas.append(alpha)
-        w = w - alpha * basis[j]
-        if j > 0:
-            w = w - betas[-1] * basis[j - 1]
-        # Full reorthogonalization for numerical stability.
-        for vec in basis:
-            w -= (vec @ w) * vec
-        beta = float(np.linalg.norm(w))
-        if j == k - 1:
-            break
-        if beta <= tol:
-            break  # invariant subspace found
-        betas.append(beta)
-        basis.append(w / beta)
-    steps = len(alphas)
+    basis = _KrylovBasis(matvec, n, seed=seed, tol=tol)
+    basis.extend(k)
     values, small_vectors = tridiagonal_eigh(
-        np.array(alphas), np.array(betas[: steps - 1])
+        basis.alphas, basis.betas[: len(basis.alphas) - 1]
     )
-    q_matrix = np.stack(basis[:steps], axis=1)
-    vectors = q_matrix @ small_vectors
-    return values, vectors
+    return values, basis.q.T @ small_vectors
 
 
 def smallest_eigenvectors(matrix: np.ndarray, count: int,
@@ -184,16 +312,11 @@ def smallest_eigenvectors(matrix: np.ndarray, count: int,
     if n <= 64:
         values, vectors = jacobi_eigh(matrix)
         return values[:count], vectors[:, :count]
-    scale = max(1.0, float(np.abs(matrix).max()))
-    k = min(n, max(2 * count + 20, 40))
-    while True:
-        values, vectors = lanczos(lambda v: matrix @ v, n, k, seed=seed)
-        values = values[:count]
-        vectors = vectors[:, :count]
-        residual = np.abs(matrix @ vectors - vectors * values).max()
-        if residual <= residual_tol * scale or k >= n:
-            return values, vectors
-        k = min(n, 2 * k)
+    return smallest_eigenvectors_operator(
+        lambda v: matrix @ v, n, count, seed=seed,
+        residual_tol=residual_tol,
+        scale=float(np.abs(matrix).max()), max_krylov=n,
+    )
 
 
 def smallest_eigenvectors_operator(
@@ -207,23 +330,33 @@ def smallest_eigenvectors_operator(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Operator form of :func:`smallest_eigenvectors` (for sparse systems).
 
-    ``matvec`` applies a symmetric operator of dimension ``n``; the Krylov
-    space grows until Ritz residuals fall below ``residual_tol * scale``
-    or reach ``max_krylov`` (default ``min(n, 400)``).
+    ``matvec`` applies a symmetric operator of dimension ``n``.  One
+    Krylov basis doubles in dimension (from ``max(2 * count + 20, 40)``)
+    until the residuals ``max |A v - lambda v|`` of the ``count``
+    smallest Ritz pairs fall below ``residual_tol * max(scale, 1)`` or
+    the dimension reaches ``max_krylov`` (default ``min(n, 400)``).  The
+    Ritz values come from QL without eigenvectors, and only the ``count``
+    wanted Ritz vectors are formed, by inverse iteration.
     """
     if count < 1 or count > n:
         raise ValueError(f"need 1 <= count <= n, got count={count}, n={n}")
     cap = max_krylov if max_krylov > 0 else min(n, 400)
     k = min(cap, max(2 * count + 20, 40))
+    basis = _KrylovBasis(matvec, n, seed=seed)
     while True:
-        values, vectors = lanczos(matvec, n, k, seed=seed)
-        values = values[:count]
-        vectors = vectors[:, :count]
+        basis.extend(k)
+        ritz = list(basis.alphas)
+        off = basis.betas[: len(ritz) - 1]
+        _tql(ritz, off + [0.0])
+        values = np.sort(ritz)[:count]
+        vectors = basis.q.T @ tridiagonal_inverse_iteration(
+            basis.alphas, off, values, seed=seed)
         applied = np.stack(
-            [matvec(vectors[:, j]) for j in range(count)], axis=1
+            [matvec(vectors[:, j]) for j in range(values.size)], axis=1
         )
         residual = np.abs(applied - vectors * values).max()
-        if residual <= residual_tol * max(scale, 1.0) or k >= cap:
+        if (residual <= residual_tol * max(scale, 1.0) or k >= cap
+                or basis.invariant):
             return values, vectors
         k = min(cap, 2 * k)
 

@@ -87,6 +87,12 @@ UNWRITABLE_OUTPUT_COMMANDS = [
      "history record", "missing/h.sqlite"),
     (["profile", "diff", "a", "b", "--benchmark", "disparity", "--db",
       "missing/p.sqlite"], "profile diff", "missing/p.sqlite"),
+    (["stream", "disparity", "--size", "sqcif", "--json", "missing/s.json"],
+     "stream", "missing/s.json"),
+    (["stream", "disparity", "--size", "sqcif", "--json", "", "--trace",
+      "missing/t.json"], "stream", "missing/t.json"),
+    (["regress", "r.json", "--json-out", "missing/v.json"],
+     "regress", "missing/v.json"),
 ]
 
 

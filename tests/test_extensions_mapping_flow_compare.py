@@ -7,7 +7,6 @@ from repro.core import InputSize
 from repro.core.compare import (
     SpeedupEntry,
     geometric_mean_speedup,
-    hotspot_shift_report,
     occupancy_drift,
     render_comparison,
     speedups,
@@ -162,20 +161,6 @@ class TestComparison:
         drift = occupancy_drift(base, cand, "demo", InputSize.SQCIF)
         assert drift["A"] == pytest.approx(-30.0)
         assert drift["B"] == pytest.approx(30.0)
-
-    def test_hotspot_shift_report(self):
-        base = make_result("demo", [1.0, 1.0, 1.0],
-                           kernels={"A": 0.8, "B": 0.1})
-        cand = make_result("demo", [1.0, 1.0, 1.0],
-                           kernels={"A": 0.5, "B": 0.4})
-        note = hotspot_shift_report(base, cand, "demo", InputSize.SQCIF)
-        assert note is not None
-        assert "A -30.0pp" in note
-
-    def test_stable_profile_none(self):
-        base = make_result("demo", [1.0, 1.0, 1.0])
-        note = hotspot_shift_report(base, base, "demo", InputSize.SQCIF)
-        assert note is None
 
     def test_drift_requires_runs(self):
         base = make_result("demo", [1.0, 1.0, 1.0])

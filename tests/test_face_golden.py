@@ -5,15 +5,14 @@ commits, byte for byte, in canonical JSON: sorted keys, no whitespace,
 and every number as the hex of its exact float64 bytes.
 """
 
-import hashlib
-import json
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from repro.core.backend import use_backend
 from repro.face import trained_cascade
+
+from .golden import canonical, digest, hex64
 
 #: sha256 of :func:`cascade_vector` per training-set variant.
 GOLDEN_CASCADE_SHA256 = {
@@ -28,24 +27,19 @@ GOLDEN_CASCADE_SHA256 = {
 TRAINING_PEAK_BYTES = 14_000_000
 
 
-def _hex(value) -> str:
-    """Exact float64 bytes as lowercase ``0x`` hex."""
-    return "0x" + np.float64(value).tobytes().hex()
-
-
 def cascade_vector(cascade) -> str:
     """Canonical JSON of a cascade: sorted keys, no whitespace, and every
     number as the hex of its exact float64 bytes."""
     doc = {
         "stages": [
             {
-                "stage_threshold": _hex(stage.stage_threshold),
+                "stage_threshold": hex64(stage.stage_threshold),
                 "stumps": [
                     {
-                        "alpha": _hex(stump.alpha),
-                        "feature_index": _hex(stump.feature_index),
-                        "polarity": _hex(stump.polarity),
-                        "threshold": _hex(stump.threshold),
+                        "alpha": hex64(stump.alpha),
+                        "feature_index": hex64(stump.feature_index),
+                        "polarity": hex64(stump.polarity),
+                        "threshold": hex64(stump.threshold),
                     }
                     for stump in stage.stumps
                 ],
@@ -53,11 +47,11 @@ def cascade_vector(cascade) -> str:
             for stage in cascade.stages
         ]
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical(doc)
 
 
 def cascade_digest(cascade) -> str:
-    return hashlib.sha256(cascade_vector(cascade).encode("utf-8")).hexdigest()
+    return digest(cascade_vector(cascade))
 
 
 class TestGoldenCascade:

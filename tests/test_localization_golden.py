@@ -6,15 +6,13 @@ JSON: sorted keys, no whitespace, and every float as the hex of its
 exact float64 bytes.
 """
 
-import hashlib
-import json
-
-import numpy as np
 import pytest
 
 from repro.core import InputSize
 from repro.core.inputs import robot_world
 from repro.localization import N_STEPS, localize
+
+from .golden import array_doc, canonical, digest, hex64, hexes
 
 #: sha256 of :func:`world_vector` per (size, variant).
 GOLDEN_WORLD_SHA256 = {
@@ -105,45 +103,23 @@ GOLDEN_POSES_SHA256 = {
 }
 
 
-def _hex(value) -> str:
-    """Exact float64 bytes as lowercase ``0x`` hex."""
-    return "0x" + np.float64(value).tobytes().hex()
-
-
-def _hexes(values):
-    return [_hex(v) for v in values]
-
-
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def world_vector(world) -> str:
     """Canonical JSON of a world: grid, poses, controls and readings."""
-    grid = np.ascontiguousarray(world.grid)
-    return _canonical({
-        "controls": [_hexes(c) for c in world.controls],
-        "grid": {
-            "bytes": grid.tobytes().hex(),
-            "dtype": grid.dtype.str,
-            "shape": list(grid.shape),
-        },
-        "max_range": _hex(world.max_range),
-        "measurements": [_hexes(m) for m in world.measurements],
+    return canonical({
+        "controls": [hexes(c) for c in world.controls],
+        "grid": array_doc(world.grid),
+        "max_range": hex64(world.max_range),
+        "measurements": [hexes(m) for m in world.measurements],
         "n_beams": world.n_beams,
-        "resolution": _hex(world.resolution),
-        "start_pose": _hexes(world.start_pose),
-        "true_poses": [_hexes(p) for p in world.true_poses],
+        "resolution": hex64(world.resolution),
+        "start_pose": hexes(world.start_pose),
+        "true_poses": [hexes(p) for p in world.true_poses],
     })
 
 
 def poses_vector(poses) -> str:
     """Canonical JSON of the per-step posterior mean poses."""
-    return _canonical({"poses": [_hexes(p) for p in poses]})
+    return canonical({"poses": [hexes(p) for p in poses]})
 
 
 def _world(size_name: str, variant: int):
@@ -153,7 +129,7 @@ def _world(size_name: str, variant: int):
 @pytest.mark.parametrize("size_name,variant", sorted(GOLDEN_WORLD_SHA256))
 def test_world_digest(size_name, variant):
     world = _world(size_name, variant)
-    assert _digest(world_vector(world)) == \
+    assert digest(world_vector(world)) == \
         GOLDEN_WORLD_SHA256[(size_name, variant)]
 
 
@@ -163,5 +139,5 @@ def test_localize_digests(size_name, variant):
     world = _world(size_name, variant)
     for mode in ("global", "tracking"):
         poses = localize(world, seed=variant, mode=mode)
-        assert _digest(poses_vector(poses)) == \
+        assert digest(poses_vector(poses)) == \
             GOLDEN_POSES_SHA256[(size_name, variant, mode)], mode

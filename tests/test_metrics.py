@@ -11,7 +11,6 @@ from repro.core.metrics import (
     WorkEstimate,
     active_metrics,
     analytic_work,
-    kernel_work_from_dict,
     use_metrics,
     work_model_table,
 )
@@ -108,8 +107,8 @@ class TestMetricsRegistry:
             "count": 2, "sum": 4.0, "min": 1.0, "max": 3.0, "mean": 2.0,
         }
         assert payload["kernels"]["k"]["flops"] == 8.0
-        restored = kernel_work_from_dict(payload)
-        assert restored["k"].traffic_bytes == 4.0
+        restored = KernelWork.from_dict("k", payload["kernels"]["k"])
+        assert restored.traffic_bytes == 4.0
 
 
 class TestUseMetrics:

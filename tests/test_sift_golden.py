@@ -6,15 +6,14 @@ whitespace, every float as the hex of its exact float64 bytes and every
 descriptor as the hex of its raw bytes.
 """
 
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
 from repro.core.inputs import image
 from repro.core.types import InputSize
 from repro.sift import extract_features
+
+from .golden import canonical, digest, hex64
 
 #: sha256 of :func:`features_vector` per (size, variant).
 GOLDEN_SIFT_SHA256 = {
@@ -37,20 +36,15 @@ GOLDEN_SIFT_SHA256 = {
 }
 
 
-def _hex(value) -> str:
-    """Exact float64 bytes as lowercase ``0x`` hex."""
-    return "0x" + np.float64(value).tobytes().hex()
-
-
 def _keypoint_doc(kp) -> dict:
     return {
-        "col": _hex(kp.col),
+        "col": hex64(kp.col),
         "octave": kp.octave,
-        "orientation": _hex(kp.orientation),
-        "response": _hex(kp.response),
-        "row": _hex(kp.row),
+        "orientation": hex64(kp.orientation),
+        "response": hex64(kp.response),
+        "row": hex64(kp.row),
         "scale_index": kp.scale_index,
-        "sigma": _hex(kp.sigma),
+        "sigma": hex64(kp.sigma),
     }
 
 
@@ -67,12 +61,12 @@ def features_vector(result) -> str:
         ],
         "keypoints": [_keypoint_doc(kp) for kp in result.keypoints],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical(doc)
 
 
 def features_digest(size: InputSize, variant: int) -> str:
     result = extract_features(image(size, variant, salt="sift"))
-    return hashlib.sha256(features_vector(result).encode("utf-8")).hexdigest()
+    return digest(features_vector(result))
 
 
 @pytest.mark.parametrize(

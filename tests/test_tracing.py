@@ -20,7 +20,6 @@ from repro.core.tracing import (
     TraceRecorder,
     TraceSpan,
     chrome_trace_dict,
-    ensure_recorder,
     events_from_jsonl,
     events_to_jsonl,
     run_manifest,
@@ -185,11 +184,6 @@ class TestZeroOverhead:
         monkeypatch.setattr(tracing.TraceRecorder, "span_open", forbidden)
         run = run_benchmark(get_benchmark("disparity"), InputSize.SQCIF)
         assert run.total_seconds > 0
-
-    def test_ensure_recorder(self):
-        assert isinstance(ensure_recorder(None), NullRecorder)
-        real = TraceRecorder()
-        assert ensure_recorder(real) is real
 
 
 class TestRunnerIntegration:
